@@ -15,6 +15,7 @@ them with ``from _bench_utils import ...``.
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 
 from repro.experiments.figures import run_figure_by_id
@@ -28,20 +29,31 @@ SEED = 7
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
-#: Machine-readable perf results live at the repo root (checked in, so
-#: the bench trajectory is tracked across PRs; benchmarks/results/ is
-#: regenerated output and stays gitignored).
+#: Machine-readable perf results: the committed trajectory files live
+#: at the repo root (so the bench trajectory is tracked across PRs) and
+#: are written there only when ``REPRO_BENCH_RECORD=1`` is set (the CI
+#: bench job and deliberate re-records).  Any other run — a plain
+#: tier-1 ``pytest`` included — writes them under ``benchmarks/results/``,
+#: which is regenerated output and stays gitignored.
 REPO_ROOT = Path(__file__).parent.parent
+
+
+def bench_json_path(name: str) -> Path:
+    """Where ``BENCH_<name>.json`` is read and written by this run."""
+    if os.environ.get("REPRO_BENCH_RECORD") == "1":
+        return REPO_ROOT / f"BENCH_{name}.json"
+    RESULTS_DIR.mkdir(exist_ok=True)
+    return RESULTS_DIR / f"BENCH_{name}.json"
 
 
 def write_bench_json(name: str, payload: dict) -> Path:
     """Persist one bench's machine-readable results.
 
-    Writes ``BENCH_<name>.json`` at the repository root and returns the
-    path.  Numbers are rounded by the caller; this helper only fixes
-    the location and format so successive PRs diff cleanly.
+    Writes ``BENCH_<name>.json`` (see :func:`bench_json_path`) and
+    returns the path.  Numbers are rounded by the caller; this helper
+    only fixes the location and format so successive PRs diff cleanly.
     """
-    path = REPO_ROOT / f"BENCH_{name}.json"
+    path = bench_json_path(name)
     path.write_text(
         json.dumps({"bench": name, **payload}, indent=2, sort_keys=True) + "\n",
         encoding="utf-8",
@@ -59,7 +71,7 @@ def merge_bench_json(name: str, payload: dict) -> Path:
     others untouched, so partial runs never silently drop trajectory
     data and the file always diffs cleanly.
     """
-    path = REPO_ROOT / f"BENCH_{name}.json"
+    path = bench_json_path(name)
     existing: dict = {}
     if path.exists():
         existing = json.loads(path.read_text(encoding="utf-8"))

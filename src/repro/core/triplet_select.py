@@ -42,6 +42,24 @@ Per-iteration stages and why they are exact:
 The engine requires the z-threshold shortcut to be available for the
 configured ``delta``; callers fall back to the rescan loop otherwise.
 
+Cold build
+----------
+
+:func:`build_selection_orders` runs every full-pool sort on numpy's
+*unstable* quicksort (vectorized where the CPU supports it) and still
+returns exactly the stable orders.  :func:`_stable_argsort` sorts once
+unstably, which already places each run of equal keys (and the NaN
+tail) correctly, then restores ascending position inside the runs by
+sorting the packed int64 ``run_id * n + position`` — a ranking whose
+order *is* (run, position).  Occupancy groups sort the unique packed
+``key * n + position`` directly.  The three-key weight order is one
+more stable pass on ``-quality`` over the (cost, position) order,
+because stable sorts compose lexicographically.  Every order equals
+its ``np.argsort(kind="stable")`` / ``np.lexsort`` counterpart element
+for element, so selections are bit-identical to a stable-sort build;
+``tests/test_selection_orders.py`` checks the kernel against those
+sorts, ties, signed zeros, infinities and NaN included.
+
 Persistent selection (the warm-start layer)
 -------------------------------------------
 
@@ -99,18 +117,60 @@ _WORKER_ID_LIMIT = 1 << (63 - _ID_TASK_BITS)
 _TASK_ID_LIMIT = 1 << _ID_TASK_BITS
 
 
+def _stable_argsort(keys: np.ndarray) -> np.ndarray:
+    """``np.argsort(keys, kind="stable")``, computed on the fast sort.
+
+    numpy's default (unstable) quicksort dispatches to the vectorized
+    x86-simd-sort / highway kernels where the CPU supports them, while
+    ``kind="stable"`` is a scalar merge sort several times slower on
+    float and int64 keys.  The unstable result already has every run
+    of equal keys (and the NaN tail, which every numpy sort kind puts
+    last) contiguous and in the right place; only the order *inside*
+    each run can differ.  Packing ``run_id * n + position``
+    gives an int64 whose ascending order is exactly (run, position),
+    so one more fast sort of the packed values restores ascending
+    positions within runs.  Pools with no ties skip the second sort.
+    """
+    order = np.argsort(keys, kind="quicksort")
+    n = order.size
+    if n < 2:
+        return order
+    sorted_keys = keys[order]
+    change = sorted_keys[1:] != sorted_keys[:-1]
+    if sorted_keys.dtype.kind == "f":
+        # NaN != NaN: the NaN tail is one run, like the stable sort's.
+        nan = np.isnan(sorted_keys)
+        change &= ~(nan[1:] & nan[:-1])
+    if change.all():
+        return order
+    base = np.zeros(n, dtype=np.int64)
+    np.cumsum(change, out=base[1:])
+    base *= n
+    packed = base + order
+    packed.sort()
+    packed -= base
+    return packed
+
+
 def _group(keys: np.ndarray):
     """Occupancy grouping: positions sharing a key, sorted by key.
 
     Returns ``(uniq, starts, members)`` where ``members`` is every
     position sorted by ``(key, position)`` and group ``i`` spans
-    ``members[starts[i]:starts[i + 1]]``.
+    ``members[starts[i]:starts[i + 1]]``.  The packed values
+    ``key * n + position`` are unique, so one fast sort orders them by
+    ``(key, position)`` — exact only for non-negative keys below the
+    int64 packing bound, which pool indices always are.
     """
-    order = np.argsort(keys, kind="stable").astype(np.int64)
-    sorted_keys = keys[order]
-    uniq, first = np.unique(sorted_keys, return_index=True)
-    starts = np.concatenate((first, [sorted_keys.size])).astype(np.int64)
-    return uniq, starts, order
+    n = keys.size
+    if n and (int(keys.min()) < 0 or (int(keys.max()) + 1) * n >= 2**63):
+        raise ValueError(
+            "occupancy keys must satisfy 0 <= key and (max_key + 1) * n < 2**63 "
+            f"to pack exactly; got keys in [{keys.min()}, {keys.max()}] with n={n}"
+        )
+    packed = np.asarray(keys, dtype=np.int64) * n + np.arange(n, dtype=np.int64)
+    packed.sort()
+    return _regroup(keys, packed % n)
 
 
 def _regroup(keys: np.ndarray, members: np.ndarray):
@@ -230,15 +290,19 @@ def build_selection_orders(
     orders.w_keys, orders.w_starts, orders.w_members = _group(pool.worker_idx[rows])
     orders.t_keys, orders.t_starts, orders.t_members = _group(pool.task_idx[rows])
 
-    orders.weight_positions = np.lexsort((rows, cost, -pool.quality_mean[rows]))
-    orders.ub_order = np.argsort(pool.cost_ub[rows], kind="stable")
-
     # The cost-ascending order is stored because the repair path
     # derives the three filtered sweeps below from it with one merge
     # and cheap mask filters instead of three merges.
+    by_cost = _stable_argsort(cost)
+    orders.by_cost = by_cost
+    # Weight order (-quality, cost, position): stable sorts compose
+    # lexicographically, so a stable pass on -quality over the
+    # (cost, position) order is the three-key sort.
+    neg_quality = -pool.quality_mean[rows]
+    orders.weight_positions = by_cost[_stable_argsort(neg_quality[by_cost])]
+    orders.ub_order = _stable_argsort(pool.cost_ub[rows])
+
     is_current = pool.is_current[rows]
-    by_cost = np.argsort(cost, kind="stable")
-    orders.by_cost = by_cost.astype(np.int64, copy=False)
     orders.cur_sweep = by_cost[is_current[by_cost]]
     orders.fut_sweep = by_cost[~is_current[by_cost]]
 
@@ -251,8 +315,8 @@ def build_selection_orders(
     std = np.sqrt(variance[sto_positions])
     fail_key = cost[sto_positions] + z_lo * std
     pass_key = cost[sto_positions] + z_hi * std
-    orders.sto_fail_sweep = sto_positions[np.argsort(fail_key, kind="stable")]
-    orders.band_entry = sto_positions[np.argsort(pass_key, kind="stable")]
+    orders.sto_fail_sweep = sto_positions[_stable_argsort(fail_key)]
+    orders.band_entry = sto_positions[_stable_argsort(pass_key)]
     return orders
 
 
@@ -912,22 +976,23 @@ class SelectionState:
         orders = SelectionOrders()
         orders.size = n_new
 
-        w_fresh = fresh[np.argsort(worker_keys[fresh], kind="stable")]
+        w_fresh = fresh[_stable_argsort(worker_keys[fresh])]
         members = _merge_sorted_positions(w_surv, w_fresh, (worker_keys,))
         orders.w_keys, orders.w_starts, orders.w_members = _regroup(
             worker_keys, members
         )
-        t_fresh = fresh[np.argsort(task_keys[fresh], kind="stable")]
+        t_fresh = fresh[_stable_argsort(task_keys[fresh])]
         members = _merge_sorted_positions(t_surv, t_fresh, (task_keys,))
         orders.t_keys, orders.t_starts, orders.t_members = _regroup(task_keys, members)
 
-        fresh_weight = fresh[
-            np.lexsort((fresh, cost[fresh], -pool.quality_mean[fresh]))
-        ]
+        # ``fresh`` is ascending, so the weight order composes from the
+        # cost order exactly as in the cold build.
+        fresh_by_cost = fresh[_stable_argsort(cost[fresh])]
+        fresh_weight = fresh_by_cost[_stable_argsort(neg_quality[fresh_by_cost])]
         orders.weight_positions = _merge_sorted_positions(
             surv_seq(old.weight_positions), fresh_weight, (neg_quality, cost)
         )
-        fresh_ub = fresh[np.argsort(cost_ub[fresh], kind="stable")]
+        fresh_ub = fresh[_stable_argsort(cost_ub[fresh])]
         orders.ub_order = _merge_sorted_positions(
             surv_seq(old.ub_order), fresh_ub, (cost_ub,)
         )
@@ -936,7 +1001,6 @@ class SelectionState:
         # filtering a total order commutes with merging (both sides
         # are the (cost, position)-sorted order of the filtered set),
         # so this matches the cold build's three sweeps exactly.
-        fresh_by_cost = fresh[np.argsort(cost[fresh], kind="stable")]
         by_cost = _merge_sorted_positions(
             surv_seq(old.by_cost), fresh_by_cost, (cost,)
         )
@@ -949,12 +1013,12 @@ class SelectionState:
         fresh_sto = fresh[sto[fresh]]
         orders.sto_fail_sweep = _merge_sorted_positions(
             surv_seq(old.sto_fail_sweep),
-            fresh_sto[np.argsort(fail_key[fresh_sto], kind="stable")],
+            fresh_sto[_stable_argsort(fail_key[fresh_sto])],
             (fail_key,),
         )
         orders.band_entry = _merge_sorted_positions(
             surv_seq(old.band_entry),
-            fresh_sto[np.argsort(pass_key[fresh_sto], kind="stable")],
+            fresh_sto[_stable_argsort(pass_key[fresh_sto])],
             (pass_key,),
         )
         return orders
