@@ -81,6 +81,7 @@ from repro.model.sparse import (
     _predicted_family_coupling,
     _price_distance,
     _reach,
+    _rowmajor_order,
     _triplet_pool,
     _uncertain_pairs_batched,
 )
@@ -421,7 +422,8 @@ class DeltaPoolBuilder:
     ) -> None:
         if rows.size == 0:
             return
-        order = np.lexsort((cols, rows))
+        # Joined pairs are unique, so the packed-key sort is exact.
+        order = _rowmajor_order(rows, cols)
         rows, cols = rows[order], cols[order]
         dist, qual = dist[order], qual[order]
         if self._p_w.size == 0:
@@ -1076,7 +1078,9 @@ class DeltaPoolBuilder:
         arithmetic as ``_uncertain_pairs_batched`` on the same
         operands, so the surviving pairs — and their canonical
         ``(row, col)`` order — are identical to the query-by-worker
-        orientation.  Pricing is deferred, as everywhere.
+        orientation (the pairs are unique, so :func:`_rowmajor_order`
+        restores the lexsort's order exactly).  Pricing is deferred, as
+        everywhere.
         """
         pt_hb = np.maximum(0.0, pt_deadline - np.maximum(now, pt_arr))
         vel_max = float(self._wvel.max())
@@ -1104,7 +1108,7 @@ class DeltaPoolBuilder:
         local.candidates += int(rows.size)
         if rows.size == 0:
             return _EMPTY_IDX, _EMPTY_IDX
-        order = np.lexsort((cols, rows))
+        order = _rowmajor_order(rows, cols)
         return rows[order], cols[order]
 
     def emit_partition(

@@ -58,8 +58,9 @@ from repro.obs.metrics import monotonic
 from repro.model.quality import QualityModel
 from repro.uncertainty.vector import (
     _interval_gap_vec,
-    distance_stats_aligned,
+    distance_stats_pairs,
     distance_stats_vec,
+    interval_moment_table,
 )
 
 #: Multiplicative + additive slack on query radii and prefilter bounds
@@ -304,6 +305,40 @@ def _concat_ranges(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
     return offsets + np.arange(total, dtype=np.int64)
 
 
+def _rowmajor_order(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Permutation putting *unique* ``(row, col)`` pairs in row-major order.
+
+    Sorts the packed key ``row * (max_col + 1) + col`` with numpy's
+    default (vectorized, unstable) quicksort.  Unique pairs have
+    unique keys, so the permutation is exactly ``np.lexsort((cols,
+    rows))``'s at a fraction of its cost.  Raises ``ValueError``
+    unless ``(max_row + 1) * (max_col + 1) < 2**63``, the bound under
+    which the int64 keys cannot overflow.
+    """
+    if rows.size == 0:
+        return _EMPTY_IDX
+    span = int(cols.max()) + 1
+    if (int(rows.max()) + 1) * span >= 2**63:
+        raise ValueError(
+            "row-major packing needs (max_row + 1) * (max_col + 1) < 2**63, "
+            f"got max_row={int(rows.max())}, max_col={span - 1}"
+        )
+    return np.argsort(rows.astype(np.int64, copy=False) * span + cols)
+
+
+def _gather_distinct(arrays, index: np.ndarray) -> tuple:
+    """``tuple(a[index] for a in arrays)``, gathering each array once.
+
+    A point side passes the same array as an axis's lo and hi; the
+    repeat reuses the first gather instead of copying it again.
+    """
+    gathered: dict[int, np.ndarray] = {}
+    for array in arrays:
+        if id(array) not in gathered:
+            gathered[id(array)] = array[index]
+    return tuple(gathered[id(array)] for array in arrays)
+
+
 @dataclass(frozen=True)
 class _CandidateCSR:
     """Cell-grouped candidate columns: the batched query target.
@@ -403,7 +438,7 @@ class _CandidateCSR:
         The merge re-groups by cell with one stable argsort over the
         combined entries; within-cell order is unspecified, which is
         fine for every caller — the batched joins canonicalize their
-        output with a full ``(row, col)`` lexsort.
+        output with a full row-major sort (:func:`_rowmajor_order`).
         """
         if new_cols.size == 0:
             return self
@@ -558,8 +593,9 @@ def _current_pairs_batched(
     valid = (horizon > 0.0) & (dist <= horizon * w_vel[rows])
     rows, cols, dist = rows[valid], cols[valid], dist[valid]
     local.candidates += int(rows.size)
-    # Row-major order, matching the dense builder's np.nonzero walk.
-    order = np.lexsort((cols, rows))
+    # Row-major order, matching the dense builder's np.nonzero walk;
+    # the joined pairs are unique, so the packed-key sort is exact.
+    order = _rowmajor_order(rows, cols)
     return rows[order], cols[order], dist[order]
 
 
@@ -584,10 +620,11 @@ def _uncertain_pairs_batched(
     One cell join per family.  The cheap scan evaluates the *exact*
     validity predicate over the cross product: the lower-bound box
     distance ``d_lb`` is a handful of elementwise gap operations (the
-    same float arithmetic :func:`distance_stats_aligned` uses, so the
+    same float arithmetic :func:`distance_stats_pairs` uses, so the
     decision is bit-identical to the dense builder's), leaving the
     delta-method moment pricing to run once over the surviving pairs.
-    Returns ``(rows, cols, None)`` in row-major order — ``None``
+    Returns ``(rows, cols, None)`` in row-major order (the surviving
+    pairs are unique, so :func:`_rowmajor_order` is exact) — ``None``
     signals the caller to price after its reservation filter, via
     :func:`_price_distance`.
     """
@@ -600,8 +637,8 @@ def _uncertain_pairs_batched(
     local.gathered += int(rows.size)
     departure = np.maximum(now, np.maximum(arr[rows], t_arr[cols]))
     horizon = t_deadline[cols] - departure
-    wx_lo, wx_hi, wy_lo, wy_hi = (axis[rows] for axis in intervals)
-    tx_lo, tx_hi, ty_lo, ty_hi = (axis[cols] for axis in t_intervals)
+    wx_lo, wx_hi, wy_lo, wy_hi = _gather_distinct(intervals, rows)
+    tx_lo, tx_hi, ty_lo, ty_hi = _gather_distinct(t_intervals, cols)
     d_lb = np.hypot(
         _interval_gap_vec(wx_lo, wx_hi, tx_lo, tx_hi),
         _interval_gap_vec(wy_lo, wy_hi, ty_lo, ty_hi),
@@ -611,10 +648,25 @@ def _uncertain_pairs_batched(
     local.candidates += int(rows.size)
     if rows.size == 0:
         return empty
-    order = np.lexsort((cols, rows))
+    order = _rowmajor_order(rows, cols)
     # Pricing is deferred (d_stats None): the caller runs the moment
     # kernels only on the pairs surviving the reservation filter.
     return rows[order], cols[order], None
+
+
+def _moment_table(intervals, index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A moment table covering the entities ``index`` picks, and the
+    indices of those entities in it.
+
+    A table costs work per entity and pricing gathers per pair, so
+    when a family has fewer pairs than entities the gathered boxes are
+    tabulated instead, in pair order.  The table is elementwise, so
+    both give the same floats.
+    """
+    if index.size < intervals[0].size:
+        gathered = _gather_distinct(intervals, index)
+        return interval_moment_table(gathered), np.arange(index.size)
+    return interval_moment_table(intervals), index
 
 
 def _price_distance(
@@ -626,14 +678,16 @@ def _price_distance(
 ):
     """Delta-method distance statistics of the ``(rows, cols)`` pairs.
 
-    Recomputes the identical ``d_lb`` the validity scan used
-    (elementwise, value-deterministic) along with mean/variance/upper.
-    Accumulates its wall-clock into ``stats.price_seconds`` when given.
+    Gathers both sides' moment tables per pair
+    (:func:`distance_stats_pairs`); recomputes the identical ``d_lb``
+    the validity scan used (elementwise, value-deterministic) along
+    with mean/variance/upper.  Accumulates its wall-clock into
+    ``stats.price_seconds`` when given.
     """
     started = monotonic()
-    w_iv = tuple(axis[rows] for axis in w_intervals)
-    t_iv = tuple(axis[cols] for axis in t_intervals)
-    priced = distance_stats_aligned(w_iv, t_iv)
+    w_table, w_index = _moment_table(w_intervals, rows)
+    t_table, t_index = _moment_table(t_intervals, cols)
+    priced = distance_stats_pairs(w_table, t_table, w_index, t_index)
     if stats is not None:
         stats.price_seconds += monotonic() - started
     return priced

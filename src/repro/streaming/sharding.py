@@ -23,7 +23,8 @@ kernel is an elementwise function of per-pair operands).
 
 **Phase 2 (global reconciliation).**  A small deterministic pass
 merges the shard outputs back into the serial builder's canonical
-row-major order (a lexsort over disjoint ``(row, col)`` keys), then
+row-major order (one packed-key sort over disjoint ``(row, col)``
+keys, exactly a lexsort's order because the keys are unique), then
 computes everything that genuinely couples shards: the Section III-B
 quality sample statistics (order-sensitive float accumulations over
 *all* current pairs), existence probabilities, the reservation filter,
@@ -76,12 +77,14 @@ from repro.model.sparse import (
     _CandidateCSR,
     _current_pairs_batched,
     _default_index_gamma,
+    _gather_distinct,
     _pair_quality,
     _predicted_family_coupling,
+    _price_distance,
     _reach,
+    _rowmajor_order,
     _triplet_pool,
 )
-from repro.uncertainty.vector import distance_stats_aligned
 from repro.geo.spatial_index import SpatialIndex
 from repro.model.sparse import _uncertain_pairs_batched
 from repro.simulation.metrics import SimulationResult
@@ -363,9 +366,11 @@ def _merge_rowmajor(parts: list[tuple]) -> tuple:
 
     Each part is ``(rows, cols, *aligned_columns)``; the ``(row, col)``
     keys are globally unique (each pair has exactly one owning shard),
-    so one lexsort restores exactly the order the serial builder's
-    single-pass scan would have emitted.  A single part is already in
-    that order (shards emit row-major) and passes through untouched.
+    so one packed-key sort (:func:`_rowmajor_order`, whose permutation
+    on unique keys is the lexsort's) restores exactly the order the
+    serial builder's single-pass scan would have emitted.  A single
+    part is already in that order (shards emit row-major) and passes
+    through untouched.
     """
     parts = [p for p in parts if p[0].size]
     if not parts:
@@ -373,7 +378,7 @@ def _merge_rowmajor(parts: list[tuple]) -> tuple:
     if len(parts) == 1:
         return parts[0]
     merged = tuple(np.concatenate([p[i] for p in parts]) for i in range(len(parts[0])))
-    order = np.lexsort((merged[1], merged[0]))
+    order = _rowmajor_order(merged[0], merged[1])
     return tuple(column[order] for column in merged)
 
 
@@ -384,14 +389,20 @@ _PRICE_DISPATCH_MIN = 8192
 
 @dataclass(frozen=True)
 class _PriceChunk:
-    """One aligned slice of surviving pairs to price (phase 2)."""
+    """One aligned slice of surviving pairs to price (phase 2).
+
+    Ships the slice's gathered boxes, not the entity tables, so a
+    chunk's payload stays proportional to its pairs.
+    """
 
     w_iv: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
     t_iv: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
 def _price_chunk(chunk: _PriceChunk):
-    return distance_stats_aligned(chunk.w_iv, chunk.t_iv)
+    """Price a chunk: its gathered boxes are their own tables, aligned."""
+    aligned = np.arange(chunk.w_iv[0].size)
+    return _price_distance(chunk.w_iv, chunk.t_iv, aligned, aligned)
 
 
 def _price_survivors(
@@ -405,41 +416,38 @@ def _price_survivors(
     family.  The delta-method kernels are elementwise, so any chunking
     of the aligned pair arrays produces bit-identical columns; chunks
     of *all* families dispatch in one ``executor.map`` so no family
-    serializes behind another.  Small jobs price inline.
+    serializes behind another.  Small jobs price inline, from both
+    sides' per-entity moment tables.
     """
-    plans: list[list[tuple[int, _PriceChunk]]] = []
+    plans: list[list[int] | None] = []  # None: price inline
     payloads: list[_PriceChunk] = []
     for w_intervals, t_intervals, rows, cols in jobs:
         if rows.size == 0:
             plans.append([])
             continue
         if executor is None or rows.size < _PRICE_DISPATCH_MIN or num_chunks < 2:
-            plans.append([(-1, _PriceChunk(
-                tuple(a[rows] for a in w_intervals),
-                tuple(a[cols] for a in t_intervals),
-            ))])
+            plans.append(None)
             continue
-        chunk_plan: list[tuple[int, _PriceChunk]] = []
+        chunk_plan: list[int] = []
         for chunk_rows in np.array_split(np.arange(rows.size), num_chunks):
             if chunk_rows.size == 0:
                 continue
             r = rows[chunk_rows]
             c = cols[chunk_rows]
-            chunk_plan.append((len(payloads), _PriceChunk(
-                tuple(a[r] for a in w_intervals),
-                tuple(a[c] for a in t_intervals),
-            )))
-            payloads.append(chunk_plan[-1][1])
+            chunk_plan.append(len(payloads))
+            payloads.append(_PriceChunk(
+                _gather_distinct(w_intervals, r), _gather_distinct(t_intervals, c)
+            ))
         plans.append(chunk_plan)
     priced = list(executor.map(_price_chunk, payloads)) if payloads else []
     results: list[tuple] = []
-    for plan in plans:
-        if not plan:
+    for job, plan in zip(jobs, plans):
+        if plan is None:
+            results.append(_price_distance(*job))
+        elif not plan:
             results.append(_EMPTY_D4)
-        elif plan[0][0] == -1:
-            results.append(_price_chunk(plan[0][1]))
         else:
-            parts = [priced[index] for index, _ in plan]
+            parts = [priced[index] for index in plan]
             results.append(
                 tuple(np.concatenate([p[i] for p in parts]) for i in range(4))
             )
@@ -507,8 +515,8 @@ def _reconcile(
     the by-ids hook, or served from a fused tile's cache); without one
     the qualities are scored here, globally, from the entity lists.
     Any *extra* aligned columns (the fused path's row-origin plumbing)
-    are merged through the same single lexsort and handed back as the
-    second return value, in the emitted cc order.
+    are merged through the same single row-major sort and handed back
+    as the second return value, in the emitted cc order.
 
     Everything here genuinely couples shards: the Section III-B sample
     statistics accumulate over all current pairs in canonical order,
@@ -677,12 +685,14 @@ def _reconcile(
             ))
 
     # ---- phase 2b: price the survivors, emit in family order --------------
+    price_started = monotonic()
     priced = _price_survivors(
         executor,
         num_chunks,
         [(job["w_intervals"], job["t_intervals"], job["rows"], job["cols"])
          for job in pending],
     )
+    local.price_seconds += monotonic() - price_started
     for job, d_stats in zip(pending, priced):
         _emit_predicted_block(
             job["rows"], job["cols"], d_stats, job["quality"], job["existence"],
@@ -1048,7 +1058,7 @@ def build_problem_sharded(
 
     # ---- phase 2: reconcile -----------------------------------------------
     # Shard-computed qualities (the by-ids path) merge in the same
-    # single pass as the distances — one concatenate + one lexsort.
+    # single pass as the distances — one concatenate + one row-major sort.
     if by_ids is not None:
         cc_parts = [
             (r.cc_rows, r.cc_cols, r.cc_dist, r.cc_quality)

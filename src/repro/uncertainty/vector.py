@@ -9,6 +9,21 @@ time instance.  Tests assert scalar/vector agreement.
 Interval arrays describe per-dimension uniform supports: a set of ``k``
 boxes is four arrays ``(x_lo, x_hi, y_lo, y_hi)`` of shape ``(k,)``.
 All pairwise outputs broadcast worker axes against task axes.
+
+Per-entity tables.  Every term of Sec. III-B's moment combination
+except the final cross products depends on one entity's box alone:
+its mean, its variance and its raw moments ``E(X^1..4)``.
+:func:`interval_moment_table` computes those once per entity and
+:func:`distance_stats_pairs` gathers them per ``(row, col)`` pair,
+then runs the same float expressions :func:`distance_stats_vec`
+runs on the broadcast grid, in the same order.  The values are
+exact, not approximate: a gathered entry is the very float the
+per-pair recomputation would produce (numpy's elementwise kernels
+give the same value for the same operands whatever the array's
+shape, stride or length), so the pair kernel's outputs are
+bit-identical to the dense oracle's ``[rows, cols]`` entries.  What
+the table saves is the per-pair ``pow`` work of the raw moments,
+which dominated pricing when it ran once per pair.
 """
 
 from __future__ import annotations
@@ -99,11 +114,6 @@ def distance_stats_vec(
 
     e_z1_sq, e_z1_4 = _difference_moments_vec(wx_lo, wx_hi, tx_lo, tx_hi)
     e_z2_sq, e_z2_4 = _difference_moments_vec(wy_lo, wy_hi, ty_lo, ty_hi)
-
-    mean_sq = e_z1_sq + e_z2_sq
-    e_z4 = e_z1_4 + 2.0 * e_z1_sq * e_z2_sq + e_z2_4
-    variance_sq = np.maximum(e_z4 - mean_sq * mean_sq, 0.0)
-
     lower = np.hypot(
         _interval_gap_vec(wx_lo, wx_hi, tx_lo, tx_hi),
         _interval_gap_vec(wy_lo, wy_hi, ty_lo, ty_hi),
@@ -112,46 +122,20 @@ def distance_stats_vec(
         _interval_span_vec(wx_lo, wx_hi, tx_lo, tx_hi),
         _interval_span_vec(wy_lo, wy_hi, ty_lo, ty_hi),
     )
-
-    positive = mean_sq > 0.0
-    safe_mean_sq = np.where(positive, mean_sq, 1.0)
-    mean = np.where(positive, np.sqrt(safe_mean_sq), 0.0)
-    variance = np.where(positive, variance_sq / (4.0 * safe_mean_sq), 0.0)
-    mean = np.clip(mean, lower, upper)
-    return mean, variance, lower, upper
+    return _distance_from_moments((e_z1_sq, e_z2_sq), (e_z1_4, e_z2_4), lower, upper)
 
 
-def distance_stats_aligned(
-    worker_intervals: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
-    task_intervals: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Per-pair distance statistics for aligned box sequences.
+def _distance_from_moments(second, fourth, lower, upper):
+    """Delta-method ``(mean, variance, lower, upper)`` of the distance.
 
-    Same arithmetic as :func:`distance_stats_vec` without the outer
-    worker-axis broadcast: ``worker_intervals[i]`` is paired with
-    ``task_intervals[i]`` and the outputs have shape ``(k,)``.  Every
-    operation involved is elementwise, so the results are bit-identical
-    to the corresponding entries of the pairwise form — the contract
-    the sparse pair builder's batched pricing relies on.
+    ``second``/``fourth`` hold ``E(Z_r^2)``/``E(Z_r^4)`` for the x and
+    y axes; the mean is clipped into the exact ``[lower, upper]``.
     """
-    wx_lo, wx_hi, wy_lo, wy_hi = (np.asarray(a, dtype=float) for a in worker_intervals)
-    tx_lo, tx_hi, ty_lo, ty_hi = (np.asarray(a, dtype=float) for a in task_intervals)
-
-    e_z1_sq, e_z1_4 = _difference_moments_vec(wx_lo, wx_hi, tx_lo, tx_hi)
-    e_z2_sq, e_z2_4 = _difference_moments_vec(wy_lo, wy_hi, ty_lo, ty_hi)
-
+    e_z1_sq, e_z2_sq = second
+    e_z1_4, e_z2_4 = fourth
     mean_sq = e_z1_sq + e_z2_sq
     e_z4 = e_z1_4 + 2.0 * e_z1_sq * e_z2_sq + e_z2_4
     variance_sq = np.maximum(e_z4 - mean_sq * mean_sq, 0.0)
-
-    lower = np.hypot(
-        _interval_gap_vec(wx_lo, wx_hi, tx_lo, tx_hi),
-        _interval_gap_vec(wy_lo, wy_hi, ty_lo, ty_hi),
-    )
-    upper = np.hypot(
-        _interval_span_vec(wx_lo, wx_hi, tx_lo, tx_hi),
-        _interval_span_vec(wy_lo, wy_hi, ty_lo, ty_hi),
-    )
 
     positive = mean_sq > 0.0
     safe_mean_sq = np.where(positive, mean_sq, 1.0)
@@ -159,6 +143,88 @@ def distance_stats_aligned(
     variance = np.where(positive, variance_sq / (4.0 * safe_mean_sq), 0.0)
     mean = np.clip(mean, lower, upper)
     return mean, variance, lower, upper
+
+
+#: Columns of one axis of an :func:`interval_moment_table`.
+_LB, _UB, _MEAN, _VAR, _M1, _M2, _M3, _M4 = range(8)
+
+
+def interval_moment_table(
+    intervals: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
+) -> np.ndarray:
+    """Per-entity moment table of a box set, shape ``(2, 8, k)``.
+
+    ``table[axis]`` (0 = x, 1 = y) holds, per entity, the rows ``lb,
+    ub, mean, var, E(X), E(X^2), E(X^3), E(X^4)`` of the axis's
+    uniform support — the same floats :func:`_difference_moments_vec`
+    derives from each box, computed once per entity instead of once
+    per pair.
+    """
+    x_lo, x_hi, y_lo, y_hi = (np.asarray(a, dtype=float) for a in intervals)
+    table = np.empty((2, 8, x_lo.size))
+    for axis, (lb, ub) in enumerate(((x_lo, x_hi), (y_lo, y_hi))):
+        rows = table[axis]
+        rows[_LB] = lb
+        rows[_UB] = ub
+        rows[_MEAN] = (lb + ub) / 2.0
+        rows[_VAR] = (ub - lb) ** 2 / 12.0
+        for k in (1, 2, 3, 4):
+            rows[_M1 + k - 1] = uniform_raw_moments_vec(lb, ub, k)
+    return table
+
+
+#: Pairs per pass of :func:`distance_stats_pairs`.  A pass's dozens of
+#: temporaries then stay cache-sized and are recycled by the allocator;
+#: whole-family temporaries would be fresh page-faulted memory each.
+_PAIR_BLOCK = 16384
+
+
+def distance_stats_pairs(
+    w_table: np.ndarray,
+    t_table: np.ndarray,
+    rows: np.ndarray,
+    cols: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Distance statistics of the pairs ``(rows[i], cols[i])``.
+
+    ``w_table``/``t_table`` come from :func:`interval_moment_table`.
+    The per-entity columns are gathered per pair and combined by the
+    float expressions of :func:`distance_stats_vec`, operation for
+    operation, so every output equals
+    ``distance_stats_vec(w, t)[j][rows, cols]`` bit for bit.  Returns
+    ``(mean, variance, lower, upper)`` of shape ``(len(rows),)``.
+    """
+    out = np.empty((4, rows.size))
+    for start in range(0, rows.size, _PAIR_BLOCK):
+        stop = start + _PAIR_BLOCK
+        block = _pair_block_stats(
+            np.take(w_table, rows[start:stop], axis=2),
+            np.take(t_table, cols[start:stop], axis=2),
+        )
+        for column, values in zip(out, block):
+            column[start:stop] = values
+    mean, variance, lower, upper = out
+    return mean, variance, lower, upper
+
+
+def _pair_block_stats(w_cols: np.ndarray, t_cols: np.ndarray):
+    """:func:`distance_stats_pairs` on gathered ``(2, 8, c)`` tables."""
+    second: list[np.ndarray] = []
+    fourth: list[np.ndarray] = []
+    gap: list[np.ndarray] = []
+    span: list[np.ndarray] = []
+    for w, t in zip(w_cols, t_cols):
+        second.append(w[_VAR] + t[_VAR] + (w[_MEAN] - t[_MEAN]) ** 2)
+        fourth.append(
+            w[_M4]
+            - 4.0 * w[_M3] * t[_M1]
+            + 6.0 * w[_M2] * t[_M2]
+            - 4.0 * w[_M1] * t[_M3]
+            + t[_M4]
+        )
+        gap.append(_interval_gap_vec(w[_LB], w[_UB], t[_LB], t[_UB]))
+        span.append(_interval_span_vec(w[_LB], w[_UB], t[_LB], t[_UB]))
+    return _distance_from_moments(second, fourth, np.hypot(*gap), np.hypot(*span))
 
 
 # Abramowitz & Stegun 7.1.26 coefficients (same as uncertainty.normal).

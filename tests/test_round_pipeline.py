@@ -401,3 +401,38 @@ class TestFusedBuilderDirect:
         )
         with pytest.raises(RuntimeError, match="refresh"):
             builder.build_round([], [], [], [], 0.0)
+
+
+class TestFusedPriceBooking:
+    def test_survivor_pricing_books_into_price_seconds(
+        self, churn_world_cls, monkeypatch
+    ):
+        """The reconcile's survivor pricing is part of the price phase:
+        with the reconcile's clock stepping 1.0 per read and every
+        other pricing clock frozen, one fused round with prediction on
+        books exactly one second."""
+        import itertools
+
+        from repro.model.sparse import SparseBuildStats
+        from repro.testing import make_predicted_tasks, make_predicted_workers
+
+        rng = np.random.default_rng(11)
+        world = churn_world_cls(rng, slack=0.0, index_gamma=_GAMMA)
+        world.arrive_workers(20)
+        world.arrive_tasks(20)
+        prng = np.random.default_rng(5)
+        pw = make_predicted_workers(prng, 6, arrival=world.now + 0.5, id_offset=5_000_000)
+        pt = make_predicted_tasks(prng, 6, arrival=world.now + 0.5, id_offset=6_000_000)
+        stats = SparseBuildStats()
+        builder = FusedRoundBuilder(
+            HashQualityModel((0.0, 1.0), seed=3), _UNIT_COST, TileGrid(1, 1),
+            world.index, stats=stats,
+        )
+        ticks = itertools.count(0.0, 1.0)
+        monkeypatch.setattr("repro.streaming.sharding.monotonic", lambda: next(ticks))
+        monkeypatch.setattr("repro.model.delta.monotonic", lambda: 0.0)
+        monkeypatch.setattr("repro.model.sparse.monotonic", lambda: 0.0)
+        before = stats.price_seconds
+        instance = builder.build_round(world.workers, world.tasks, pw, pt, world.now)
+        assert (~instance.pool.is_current).any()
+        assert stats.price_seconds - before == 1.0
